@@ -37,8 +37,9 @@ Usage::
     PYTHONPATH=src python scripts/bench_kernel.py --quick    # fewer reps
     PYTHONPATH=src python scripts/bench_kernel.py --check    # CI gate:
         # re-measure (quick) and fail if the headline micro speedup
-        # regressed >30%, or the spans-off full-system path slowed
-        # >5%, vs the committed BENCH_kernel.json
+        # regressed >30%, the spans-off full-system path slowed >5%,
+        # or M7's kernel events / DRAM polls exceed the recorded
+        # counts, vs the committed BENCH_kernel.json
 
 The headline number (``micro_speedup_geomean``) is the geometric mean of
 the per-scenario old/new ns-per-event ratios; acceptance is >= 1.5x.
@@ -61,6 +62,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.sim.engine import ReferenceSimulator, Simulator  # noqa: E402
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+
+#: profile owner key of the DRAM controller's issue poll
+DRAM_POLL = "MemoryController._try_issue"
 
 #: delta pools mirror the simulated machine's delay constants
 SCENARIOS = {
@@ -292,7 +296,9 @@ def bench_macro_components(micro_new_ns: float, reps: int) -> dict:
       component shares (dram/llc/core/gpu/ring/mem + engine overhead)
       via :meth:`repro.prof.KernelProfile.component_shares` — shares
       are relative, so they are host-speed-independent and gate which
-      layer regressed, not just that something did.
+      layer regressed, not just that something did.  The same run's
+      kernel event and executed DRAM poll counts are exact, noise-free
+      work counters.
     """
     from repro.config import default_config
     from repro.mixes import mix as mix_by_name
@@ -311,8 +317,9 @@ def bench_macro_components(micro_new_ns: float, reps: int) -> dict:
     equiv = wall * 1e9 / micro_new_ns
     _result, prof = profile_mix("M7", scale="smoke")
     shares = prof.component_shares()
+    polls = prof.by_owner.get(DRAM_POLL, [0])[0]
     print(f"  M7 smoke  wall {wall:6.3f}s = {equiv:,.0f} equiv events "
-          f"({prof.events:,} real events profiled)")
+          f"({prof.events:,} real events profiled, {polls:,} DRAM polls)")
     print(f"  {'component':10s} {'share':>7s}")
     for comp, share in shares.items():
         print(f"  {comp:10s} {100 * share:6.1f}%")
@@ -320,6 +327,7 @@ def bench_macro_components(micro_new_ns: float, reps: int) -> dict:
             "wall_seconds": round(wall, 3),
             "equivalent_events": round(equiv),
             "profiled_events": prof.events,
+            "dram_polls": polls,
             "shares": shares}
 
 
@@ -407,10 +415,23 @@ def check_macro_components(result: dict, baseline: dict) -> bool:
       slower" gate;
     * no component's share may grow by more than 30% relative (plus a
       2-point absolute floor so a 1% component jittering to 1.4%
-      doesn't fail the build) — the "which layer regressed" gate.
+      doesn't fail the build) — the "which layer regressed" gate;
+    * the profiled run's kernel events and executed DRAM polls may not
+      exceed the recorded counts — exact, so any algorithmic
+      regression in the event cadence fails regardless of host noise.
     """
     ok = True
     now = result["macro_components"]
+    base_mc = baseline.get("macro_components") or {}
+    for key, label in (("profiled_events", "kernel events"),
+                       ("dram_polls", "DRAM polls")):
+        if key not in base_mc:
+            continue
+        count_ok = now[key] <= base_mc[key]
+        ok = ok and count_ok
+        print(f"check[counts]: M7 {label} {now[key]:,} vs recorded "
+              f"{base_mc[key]:,} (exact ceiling) -> "
+              f"{'OK' if count_ok else 'REGRESSION'}")
     base_equiv = _baseline_macro_equiv(baseline)
     if base_equiv:
         ceiling = 1.10 * base_equiv
@@ -422,7 +443,7 @@ def check_macro_components(result: dict, baseline: dict) -> bool:
               f"{ceiling:,.0f}) -> {speedup:.2f}x vs baseline -> "
               f"{'OK' if macro_ok else 'REGRESSION'}")
 
-    base_shares = (baseline.get("macro_components") or {}).get("shares")
+    base_shares = base_mc.get("shares")
     if base_shares:
         print(f"check[components]: {'component':10s} {'base':>7s} "
               f"{'now':>7s}")

@@ -17,20 +17,27 @@ a per-entry issuable scan plus a per-entry retry-hint scan.  The batched
 path (default, see :mod:`repro.hotpath`) answers both questions in a
 *single* O(banks) pass: ``Bank.queued_r``/``queued_w`` mirror exactly
 the queue membership the legacy scans walked, so the candidate list,
-the selection, *and the retry tick* are all identical — the poll
-*cadence* is deliberately preserved, because each poll's position in
-the kernel's ``(time, seq)`` order decides whether it observes a
-same-tick enqueue or completion, making the re-poll chain semantically
-visible.  (A sharper hint that skipped the parked-writes re-polls was
-tried and measurably diverged the simulation; see
-:meth:`MemoryController._batched_poll`.)  The issue sequence, and
-therefore every simulated result, is unchanged; only the per-poll cost
-drops from O(queue) to O(banks).  The fast
-path is enabled only under the preconditions that make the equivalence
-provable (a queue-transparent FR-FCFS-family scheduler and tFAW
-disabled — the default configuration); anything else takes the legacy
-path.  Bit-identity of the two paths is enforced by
-``tests/sim/test_hotpath_golden.py``.
+the selection, *and the retry tick* are all identical.
+
+The re-poll chain itself is kept slot for slot.  With writes parked
+below the drain watermark while reads wait on busy banks, the retry
+hint is a past tick and the poll re-arms at ``now + 1`` on every tick.
+Each re-arm occupies a position in the kernel's ``(time, seq)`` order,
+which decides whether the poll that finally acts observes a same-tick
+enqueue or completion — so the chain cannot be skipped or moved (that
+was tried and diverged).  The batched path instead *parks* it with
+:meth:`repro.sim.engine.Simulator.park`: the kernel keeps the chain's
+exact slot tick by tick without executing the no-op steps, and fires
+the poll at the first tick it could act (:meth:`_wake_tick`) or when an
+enqueue reaches the slot first (:meth:`_kick`).  The issue sequence,
+and therefore every simulated result, is unchanged; the per-poll cost
+drops from O(queue) to O(banks), and ~86% of the polls (the chain's
+no-op steps) are never executed.  The fast path is enabled only under
+the preconditions that make the equivalence provable (a
+queue-transparent FR-FCFS-family scheduler and tFAW disabled — the
+default configuration); anything else takes the legacy path, which
+runs the real per-tick chain.  Bit-identity of the two paths is
+enforced by ``tests/sim/test_hotpath_golden.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from repro.dram.schedulers import (CpuPriorityScheduler, DynPrioScheduler,
                                    FrFcfsScheduler, SmsScheduler)
 from repro.dram.timing import TimingTicks
 from repro.mem.request import MemRequest
-from repro.sim.engine import Simulator
+from repro.sim.engine import Parked, Simulator
 from repro.sim.stats import StatSet
 
 #: scheduler types whose ``select`` is pure and whose reads all live in
@@ -210,10 +217,14 @@ class MemoryController:
 
     def _kick(self, t: int) -> None:
         t = max(t, self.sim.now)
-        if self._try_event is not None and not self._try_event.cancelled:
-            if self._try_event.time <= t:
+        ev = self._try_event
+        if ev is not None and not ev.cancelled:
+            if ev.time <= t:
+                # a parked chain whose slot is still ahead polls there
+                if isinstance(ev, Parked) and ev.wake > t:
+                    ev.wake = t
                 return
-            self._try_event.cancel()
+            ev.cancel()
         # closure-free: ``at_call`` with the plain function avoids a
         # bound-method allocation per (re)arm; profiling still keys it
         # as ``MemoryController._try_issue`` via ``__qualname__``
@@ -271,7 +282,11 @@ class MemoryController:
             if candidates is None:    # the common no-op poll, O(banks)
                 if hint is not None:
                     now = self.sim.now
-                    self._kick(hint if hint > now else now + 1)
+                    if hint > now:
+                        self._kick(hint)
+                    else:             # the now + 1 chain, parked
+                        self._try_event = self.sim.park(
+                            _TRY_ISSUE, self, self._wake_tick())
                 return
         else:
             candidates = []
@@ -318,12 +333,13 @@ class MemoryController:
         eligible-issue tick: with writes parked below the drain
         watermark the legacy hint is a ready write bank's past
         ``ready_at``, producing a ``now + 1`` re-poll every tick.  Those
-        polls look like no-ops but their scheduled events occupy
-        positions in the kernel's ``(time, seq)`` order, so the poll
-        that eventually issues can run before or after a same-tick
-        enqueue or completion depending on *when it was scheduled* —
-        skipping the chain was tried and measurably diverged full-system
-        runs.  Cheapening each poll is safe; moving it is not.
+        polls are no-ops, but their events occupy positions in the
+        kernel's ``(time, seq)`` order, so the poll that eventually
+        issues runs before or after a same-tick enqueue or completion
+        depending on *when it was scheduled* — moving it diverges
+        full-system runs.  The caller parks the chain instead
+        (:meth:`repro.sim.engine.Simulator.park`), which keeps every
+        slot and skips only the work.
 
         Preconditions (``self._fast``): tFAW disabled (``_issuable``
         degenerates to the ready-bank filter) and a scheduler that
@@ -362,6 +378,20 @@ class MemoryController:
             if out:
                 return out, None
         return None, best
+
+    def _wake_tick(self) -> int:
+        """First tick at which a no-op poll with ``hint <= now`` could
+        act: a bank holding reads becomes ready, or a refresh boundary
+        changes the banks.  Until then every poll would find the same
+        write-only ready banks below the drain watermark and re-poll at
+        ``now + 1`` — only an enqueue (which ``_kick``s) can intervene.
+        Reads are queued here: a ready write bank with no reads queued
+        would have been issued."""
+        wake = min(b.ready_at for b in self.banks if b.queued_r)
+        t_refi = self.timing.t_refi
+        if t_refi > 0:
+            wake = min(wake, (self._refresh_applied + 1) * t_refi)
+        return wake
 
     def _retry_hint(self) -> Optional[int]:
         if self.queue_depth() == 0:

@@ -62,7 +62,9 @@ class DiagnosticDump:
     tick: int
     #: (next event tick, bucket length) or None when the queue is empty
     event_head: Optional[tuple[int, int]]
-    kernel: dict[str, int]
+    #: bookkeeping counters, plus ``parked``: (owner, tick, wake) of
+    #: every parked re-poll chain
+    kernel: dict[str, Any]
     counters: dict[str, int]
     occupancies: dict[str, Any]
     #: up to ``KEEP_OLDEST`` oldest in-flight requests: (repr, age ticks)
@@ -80,7 +82,10 @@ class DiagnosticDump:
         else:
             lines.append("event queue head: <empty>")
         lines.append("kernel: " + ", ".join(
-            f"{k}={v}" for k, v in self.kernel.items()))
+            f"{k}={v}" for k, v in self.kernel.items() if k != "parked"))
+        for owner, tick, wake in self.kernel.get("parked", ()):
+            lines.append(f"  parked {owner}: tick {tick:,}, "
+                         f"wake {wake:,}")
         lines.append("counters: " + ", ".join(
             f"{k}={v}" for k, v in self.counters.items()))
         for name, occ in self.occupancies.items():
@@ -448,13 +453,15 @@ class InvariantMonitor:
         system = self.system
         sim = self.sim
         now = sim.now if sim is not None else 0
-        kernel: dict[str, int] = {}
+        kernel: dict[str, Any] = {}
         head = None
         if sim is not None:
             head = sim.head() if hasattr(sim, "head") else None
             for attr in ("_live", "_size", "_cancelled", "_seq"):
                 if hasattr(sim, attr):
                     kernel[attr.lstrip("_")] = getattr(sim, attr)
+            if hasattr(sim, "parked"):
+                kernel["parked"] = sim.parked()
         counters = {"issued": self.issued, "retired": self.retired,
                     "issued_writes": self.issued_writes,
                     "in_flight": len(self._live),
